@@ -7,7 +7,7 @@ GO ?= go
 # cancellation and backpressure, where a bug means "stuck forever").
 TEST_TIMEOUT ?= 5m
 
-.PHONY: all build test race vet bench bench-shard bench-vcache bench-cascade bench-index bench-check alloc-check vcache-smoke shard-smoke serve-smoke index-smoke window-smoke chaos chaos-smoke docs-check fuzz-short faults cover ci
+.PHONY: all build test race vet fmt-check bench bench-shard bench-vcache bench-cascade bench-index bench-check alloc-check vcache-smoke shard-smoke serve-smoke index-smoke window-smoke chaos chaos-smoke docs-check fuzz-short faults cover ci
 
 all: build
 
@@ -20,13 +20,19 @@ test:
 # Race pass over the concurrent packages (the scan engine, the
 # detector/repository wiring, the streaming pipeline, the shard
 # scatter–gather layer, the circuit breakers, the chaos harness, the
-# verdict result cache, the detection service front end and the online
-# sliding-window detector).
+# verdict result cache, the detection service front end, the online
+# sliding-window detector, and programs shared between concurrent
+# detections: the decoded-program test in internal/isa and the
+# shared-program detection test in internal/detect).
 race:
-	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/detect ./internal/scan ./internal/stream ./internal/shard ./internal/breaker ./internal/chaos ./internal/vcache ./internal/serve ./internal/index ./internal/window
+	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/isa ./internal/detect ./internal/scan ./internal/stream ./internal/shard ./internal/breaker ./internal/chaos ./internal/vcache ./internal/serve ./internal/index ./internal/window
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # The repository-scan benchmark plus the per-stage detection costs;
 # see docs/PERFORMANCE.md for how to read them. Use
@@ -69,10 +75,13 @@ bench-check:
 	./scripts/bench-check.sh
 
 # The warm scan path — exact, pruned and cascade — must perform zero
-# allocations per full repository pass (testing.AllocsPerRun-pinned;
-# see docs/PERFORMANCE.md "Allocation-free scan kernel").
+# allocations per full repository pass, and one simulator set-up plus
+# run of FR-Mastik must stay within its allocation budget
+# (testing.AllocsPerRun-pinned; see docs/PERFORMANCE.md
+# "Allocation-free scan kernel" and "Simulator").
 alloc-check:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run TestScanZeroAllocWarmPath -v ./internal/scan
+	$(GO) test -timeout $(TEST_TIMEOUT) -run TestMachineRunAllocBudget -v ./internal/exec
 
 # Cache-hit smoke: the differential + all-hits repeat-pass tests across
 # the detector, the shard servers and the golden corpus.
@@ -151,4 +160,4 @@ cover:
 	$(GO) test -coverprofile=coverage.out -timeout $(TEST_TIMEOUT) ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-ci: build vet test race faults alloc-check bench-check vcache-smoke shard-smoke serve-smoke index-smoke window-smoke chaos-smoke docs-check fuzz-short cover
+ci: build vet fmt-check test race faults alloc-check bench-check vcache-smoke shard-smoke serve-smoke index-smoke window-smoke chaos-smoke docs-check fuzz-short cover

@@ -444,9 +444,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("On", func(b *testing.B) { run(b, NewTelemetry()) })
 }
 
-// BenchmarkEndToEndAttack measures a full simulated Flush+Reload attack
-// run (the substrate's speed).
-func BenchmarkEndToEndAttack(b *testing.B) {
+// BenchmarkBuildModelFRIAIK measures modeling of FR-IAIK with its victim
+// — simulation plus CST-BBS extraction, no repository comparison: the
+// model-only cost of BenchmarkDetectionCostModelOnly on another PoC.
+func BenchmarkBuildModelFRIAIK(b *testing.B) {
 	poc := MustAttack("FR-IAIK")
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildModel(poc.Program, poc.Victim); err != nil {

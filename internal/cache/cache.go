@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -71,12 +72,19 @@ func (c Config) Validate() error {
 // SizeBytes returns the capacity of the configured cache.
 func (c Config) SizeBytes() int { return c.Sets * c.Ways * c.LineSize }
 
-type line struct {
-	valid    bool
-	tag      uint64
-	owner    Owner
-	lastUse  uint64 // LRU timestamp
-	inserted uint64 // FIFO timestamp
+// SetIndex maps addr to its set index under this configuration: the
+// function Cache.SetIndex computes, without building a cache.
+func (c Config) SetIndex(addr uint64) int {
+	return int((addr >> bits.TrailingZeros64(uint64(c.LineSize))) & uint64(c.Sets-1))
+}
+
+// lineMeta is the state of one cache way besides its tag. stamp orders
+// victims: under LRU it is the tick of the last access, under FIFO the
+// tick of the fill. The tag and owner of an invalid way are never read.
+type lineMeta struct {
+	stamp uint64
+	owner Owner
+	valid bool
 }
 
 // Stats accumulates hit/miss/flush counts.
@@ -88,13 +96,20 @@ type Stats struct {
 }
 
 // Cache is one set-associative cache level. Create with New.
+//
+// The ways of set s are entries s*ways .. s*ways+ways-1 of two flat
+// arrays: tags, scanned on every lookup, and meta, touched only on the
+// way a lookup lands on.
 type Cache struct {
 	cfg        Config
-	sets       [][]line
+	tags       []uint64
+	meta       []lineMeta
+	ways       int
 	tick       uint64
-	rng        *rand.Rand
+	rng        *rand.Rand // created on the first Random victim choice
 	stats      Stats
 	setShift   uint // log2(LineSize)
+	tagShift   uint // log2(LineSize) + log2(Sets)
 	setMask    uint64
 	totalLines int
 	usedLines  int
@@ -105,24 +120,18 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{
+	setShift := uint(bits.TrailingZeros64(uint64(cfg.LineSize)))
+	n := cfg.Sets * cfg.Ways
+	return &Cache{
 		cfg:        cfg,
-		sets:       make([][]line, cfg.Sets),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		tags:       make([]uint64, n),
+		meta:       make([]lineMeta, n),
+		ways:       cfg.Ways,
+		setShift:   setShift,
+		tagShift:   setShift + uint(bits.TrailingZeros64(uint64(cfg.Sets))),
 		setMask:    uint64(cfg.Sets - 1),
-		totalLines: cfg.Sets * cfg.Ways,
-	}
-	for i := range c.sets {
-		ways := make([]line, cfg.Ways)
-		for j := range ways {
-			ways[j].owner = OwnerNone
-		}
-		c.sets[i] = ways
-	}
-	for ls := cfg.LineSize; ls > 1; ls >>= 1 {
-		c.setShift++
-	}
-	return c, nil
+		totalLines: n,
+	}, nil
 }
 
 // MustNew is New that panics on configuration errors.
@@ -150,30 +159,23 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineSize) - 1)
 }
 
-func (c *Cache) tag(addr uint64) uint64 {
-	return addr >> c.setShift >> log2(uint64(c.cfg.Sets))
-}
+func (c *Cache) tag(addr uint64) uint64 { return addr >> c.tagShift }
 
-func log2(v uint64) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
+// find returns the entry of set si holding tag t, or -1.
+func (c *Cache) find(si int, t uint64) int {
+	base := si * c.ways
+	for i, tg := range c.tags[base : base+c.ways] {
+		if tg == t && c.meta[base+i].valid {
+			return base + i
+		}
 	}
-	return n
+	return -1
 }
 
 // Lookup reports whether addr is cached, without disturbing any
 // replacement state.
 func (c *Cache) Lookup(addr uint64) bool {
-	set := c.sets[c.SetIndex(addr)]
-	t := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			return true
-		}
-	}
-	return false
+	return c.find(c.SetIndex(addr), c.tag(addr)) >= 0
 }
 
 // EvictedLine describes a line displaced by a fill.
@@ -186,90 +188,92 @@ type EvictedLine struct {
 // the access hit, and (on a fill that displaced a valid line) the evicted
 // line. Writes allocate like reads (write-allocate).
 func (c *Cache) Access(addr uint64, owner Owner) (hit bool, evicted *EvictedLine) {
+	hit, ev, didEvict := c.access(addr, owner)
+	if didEvict {
+		return false, &ev
+	}
+	return hit, nil
+}
+
+// access is Access returning the evicted line by value, so the
+// hierarchy's hot path does not allocate one per eviction.
+func (c *Cache) access(addr uint64, owner Owner) (hit bool, ev EvictedLine, evicted bool) {
 	c.tick++
 	si := c.SetIndex(addr)
-	set := c.sets[si]
 	t := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			set[i].lastUse = c.tick
-			set[i].owner = owner // the most recent toucher owns the line
-			c.stats.Hits++
-			return true, nil
-		}
+	if i := c.find(si, t); i >= 0 {
+		c.hit(i, owner)
+		return true, EvictedLine{}, false
 	}
 	c.stats.Misses++
-	victim := c.chooseVictim(set)
-	if set[victim].valid {
+	victim := c.chooseVictim(si)
+	if m := &c.meta[victim]; m.valid {
 		c.stats.Evictions++
-		ev := &EvictedLine{
-			Addr:  c.reconstructAddr(set[victim].tag, si),
-			Owner: set[victim].owner,
-		}
-		set[victim] = line{valid: true, tag: t, owner: owner, lastUse: c.tick, inserted: c.tick}
-		return false, ev
+		ev = EvictedLine{Addr: c.reconstructAddr(c.tags[victim], si), Owner: m.owner}
+		evicted = true
+	} else {
+		c.usedLines++
 	}
-	c.usedLines++
-	set[victim] = line{valid: true, tag: t, owner: owner, lastUse: c.tick, inserted: c.tick}
-	return false, nil
+	c.tags[victim] = t
+	c.meta[victim] = lineMeta{stamp: c.tick, owner: owner, valid: true}
+	return false, ev, evicted
+}
+
+// hit records an access that found its line in entry i.
+func (c *Cache) hit(i int, owner Owner) {
+	m := &c.meta[i]
+	if c.cfg.Policy != FIFO {
+		m.stamp = c.tick
+	}
+	m.owner = owner // the most recent toucher owns the line
+	c.stats.Hits++
 }
 
 func (c *Cache) reconstructAddr(tag uint64, setIdx int) uint64 {
-	return (tag<<log2(uint64(c.cfg.Sets)) | uint64(setIdx)) << c.setShift
+	return tag<<c.tagShift | uint64(setIdx)<<c.setShift
 }
 
-func (c *Cache) chooseVictim(set []line) int {
+// chooseVictim returns the entry of set si to fill.
+func (c *Cache) chooseVictim(si int) int {
+	base := si * c.ways
+	set := c.meta[base : base+c.ways]
 	// Prefer an invalid way.
 	for i := range set {
 		if !set[i].valid {
-			return i
+			return base + i
 		}
 	}
-	switch c.cfg.Policy {
-	case FIFO:
-		best := 0
-		for i := 1; i < len(set); i++ {
-			if set[i].inserted < set[best].inserted {
-				best = i
-			}
+	if c.cfg.Policy == Random {
+		if c.rng == nil {
+			c.rng = rand.New(rand.NewSource(c.cfg.Seed))
 		}
-		return best
-	case Random:
-		return c.rng.Intn(len(set))
-	default: // LRU
-		best := 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[best].lastUse {
-				best = i
-			}
-		}
-		return best
+		return base + c.rng.Intn(len(set))
 	}
+	// LRU and FIFO: the oldest stamp.
+	best := 0
+	for i := 1; i < len(set); i++ {
+		if set[i].stamp < set[best].stamp {
+			best = i
+		}
+	}
+	return base + best
 }
 
 // Flush removes the line containing addr, returning whether it was
 // present (the timing signal Flush+Flush exploits).
 func (c *Cache) Flush(addr uint64) bool {
-	set := c.sets[c.SetIndex(addr)]
-	t := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			set[i] = line{owner: OwnerNone}
-			c.stats.Flushes++
-			c.usedLines--
-			return true
-		}
+	if i := c.find(c.SetIndex(addr), c.tag(addr)); i >= 0 {
+		c.meta[i] = lineMeta{}
+		c.stats.Flushes++
+		c.usedLines--
+		return true
 	}
 	return false
 }
 
 // InvalidateAll empties the cache (counters are preserved).
 func (c *Cache) InvalidateAll() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			c.sets[si][wi] = line{owner: OwnerNone}
-		}
-	}
+	clear(c.meta)
 	c.usedLines = 0
 }
 
@@ -279,16 +283,9 @@ func (c *Cache) InvalidateAll() {
 // Synthetic tags are used so the lines do not collide with program data.
 func (c *Cache) FillAll(owner Owner) {
 	c.tick++
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			c.sets[si][wi] = line{
-				valid:    true,
-				tag:      ^uint64(0) - uint64(wi), // high tags, disjoint from real data
-				owner:    owner,
-				lastUse:  c.tick,
-				inserted: c.tick,
-			}
-		}
+	for i := range c.tags {
+		c.tags[i] = ^uint64(0) - uint64(i%c.ways) // high tags, disjoint from real data
+		c.meta[i] = lineMeta{stamp: c.tick, owner: owner, valid: true}
 	}
 	c.usedLines = c.totalLines
 }
@@ -305,17 +302,15 @@ type State struct {
 // program" of Definition 3.
 func (c *Cache) Occupancy(attacker Owner) State {
 	var ao, io int
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if !l.valid {
-				continue
-			}
-			if l.owner == attacker {
-				ao++
-			} else {
-				io++
-			}
+	for i := range c.meta {
+		l := &c.meta[i]
+		if !l.valid {
+			continue
+		}
+		if l.owner == attacker {
+			ao++
+		} else {
+			io++
 		}
 	}
 	total := float64(c.totalLines)
@@ -331,12 +326,8 @@ func (c *Cache) TotalLines() int { return c.totalLines }
 // OwnerOfLine returns the owner of the line containing addr, or
 // OwnerNone when the line is absent.
 func (c *Cache) OwnerOfLine(addr uint64) Owner {
-	set := c.sets[c.SetIndex(addr)]
-	t := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			return set[i].owner
-		}
+	if i := c.find(c.SetIndex(addr), c.tag(addr)); i >= 0 {
+		return c.meta[i].owner
 	}
 	return OwnerNone
 }
@@ -344,10 +335,10 @@ func (c *Cache) OwnerOfLine(addr uint64) Owner {
 // SetOccupants returns the number of valid lines in the set containing
 // addr; SCADET-style rules use this to spot prime sweeps.
 func (c *Cache) SetOccupants(addr uint64) int {
-	set := c.sets[c.SetIndex(addr)]
+	base := c.SetIndex(addr) * c.ways
 	n := 0
-	for i := range set {
-		if set[i].valid {
+	for _, m := range c.meta[base : base+c.ways] {
+		if m.valid {
 			n++
 		}
 	}

@@ -136,21 +136,21 @@ func (h *Hierarchy) Access(addr uint64, kind AccessKind, owner Owner) AccessResu
 		l1 = h.l1i
 	}
 	res := AccessResult{Kind: kind}
-	if hit, _ := l1.Access(addr, owner); hit {
+	if hit, _, _ := l1.access(addr, owner); hit {
 		res.L1Hit = true
 		res.Latency = h.lat.L1Hit
 		// Keep the LLC recency state warm for inclusive behaviour.
-		h.llc.Access(addr, owner)
+		h.llc.access(addr, owner)
 		return res
 	}
-	llcHit, evicted := h.llc.Access(addr, owner)
+	llcHit, evicted, didEvict := h.llc.access(addr, owner)
 	res.LLCHit = llcHit
 	if llcHit {
 		res.Latency = h.lat.LLCHit
 	} else {
 		res.Latency = h.lat.Memory
 	}
-	if evicted != nil {
+	if didEvict {
 		// Inclusion: the displaced LLC line leaves the L1s too.
 		h.l1d.Flush(evicted.Addr)
 		h.l1i.Flush(evicted.Addr)

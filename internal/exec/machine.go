@@ -106,10 +106,11 @@ type flags struct {
 
 // proc is one running process.
 type proc struct {
-	prog    *isa.Program
+	code    *isa.Decoded
 	regs    [isa.NumRegs]uint64
 	fl      flags
 	pc      uint64
+	pos     int // position of pc in code, -1 when pc is not an instruction
 	halted  bool
 	owner   cache.Owner
 	retired uint64
@@ -129,6 +130,9 @@ type Machine struct {
 	procs  []*proc
 	cycles uint64
 	trace  *Trace
+	// slots holds the trace state of each instruction position of the
+	// monitored program (see addrSlot).
+	slots []addrSlot
 }
 
 // NewMachine builds a machine running the monitored program and an
@@ -177,9 +181,16 @@ func NewMachineMulti(cfg Config, monitored *isa.Program, others ...*isa.Program)
 				m.mem.WriteBytes(d.Addr, d.Init)
 			}
 		}
-		p := &proc{prog: pr, pc: pr.Entry, owner: cache.Owner(i)}
+		code := pr.Decoded()
+		pos, _ := code.Index(pr.Entry)
+		p := &proc{code: code, pc: pr.Entry, pos: pos, owner: cache.Owner(i)}
 		p.regs[isa.R14] = uint64(stackTop - i*stackGap)
 		m.procs = append(m.procs, p)
+	}
+	code := m.procs[0].code
+	m.slots = make([]addrSlot, code.Len())
+	for i := range m.slots {
+		m.slots[i].pc = code.Insn(i).Addr
 	}
 	return m, nil
 }
@@ -235,7 +246,7 @@ func (m *Machine) Run() *Trace {
 
 // ea computes an effective address from a memory operand and a register
 // file.
-func ea(op isa.Operand, regs *[isa.NumRegs]uint64) uint64 {
+func ea(op *isa.Operand, regs *[isa.NumRegs]uint64) uint64 {
 	var a uint64
 	if op.Base != isa.RegNone {
 		a += regs[op.Base]
@@ -250,9 +261,11 @@ func ea(op isa.Operand, regs *[isa.NumRegs]uint64) uint64 {
 	return a + uint64(op.Disp)
 }
 
-// fireAccessEvents converts one cache access result into HPC events.
-func (m *Machine) fireAccessEvents(res cache.AccessResult, pc uint64, monitored bool) {
-	if !monitored {
+// fireAccessEvents converts one cache access result into HPC events
+// attributed to the monitored instruction of slot s; nil s (an
+// unmonitored process) records nothing.
+func (m *Machine) fireAccessEvents(res cache.AccessResult, s *addrSlot) {
+	if s == nil {
 		return
 	}
 	t := m.trace
@@ -260,35 +273,51 @@ func (m *Machine) fireAccessEvents(res cache.AccessResult, pc uint64, monitored 
 	switch res.Kind {
 	case cache.Load:
 		if res.L1Hit {
-			t.fire(hpc.L1DLoadHit, pc, cyc)
+			t.fire(hpc.L1DLoadHit, s, cyc)
 			return
 		}
-		t.fire(hpc.L1DLoadMiss, pc, cyc)
+		t.fire(hpc.L1DLoadMiss, s, cyc)
 		if res.LLCHit {
-			t.fire(hpc.LLCLoadHit, pc, cyc)
+			t.fire(hpc.LLCLoadHit, s, cyc)
 		} else {
-			t.fire(hpc.LLCLoadMiss, pc, cyc)
-			t.fire(hpc.CacheMiss, pc, cyc)
+			t.fire(hpc.LLCLoadMiss, s, cyc)
+			t.fire(hpc.CacheMiss, s, cyc)
 		}
 	case cache.Store:
 		if res.L1Hit {
-			t.fire(hpc.L1DStoreHit, pc, cyc)
+			t.fire(hpc.L1DStoreHit, s, cyc)
 			return
 		}
 		if res.LLCHit {
-			t.fire(hpc.LLCStoreHit, pc, cyc)
+			t.fire(hpc.LLCStoreHit, s, cyc)
 		} else {
-			t.fire(hpc.LLCStoreMiss, pc, cyc)
-			t.fire(hpc.CacheMiss, pc, cyc)
+			t.fire(hpc.LLCStoreMiss, s, cyc)
+			t.fire(hpc.CacheMiss, s, cyc)
 		}
 	case cache.Fetch:
 		if !res.L1Hit {
-			t.fire(hpc.L1ILoadMiss, pc, cyc)
+			t.fire(hpc.L1ILoadMiss, s, cyc)
 			if !res.LLCHit {
-				t.fire(hpc.CacheMiss, pc, cyc)
+				t.fire(hpc.CacheMiss, s, cyc)
 			}
 		}
 	}
+}
+
+// traceData records a data access of the monitored instruction of slot s
+// in its record and the cache-set trace; nil s records nothing.
+func (m *Machine) traceData(s *addrSlot, addr uint64, kind SetAccessKind) {
+	if s == nil {
+		return
+	}
+	llc := m.hier.LLC()
+	line := llc.LineAddr(addr)
+	if kind == SetFlush {
+		m.trace.flushLine(s, line, m.cycles)
+	} else {
+		m.trace.memLine(s, line, m.cycles)
+	}
+	m.trace.setAccess(m.cycles, llc.SetIndex(addr), line, kind, s.pc)
 }
 
 // protectedAt reports whether an architectural access to addr faults.
@@ -302,7 +331,7 @@ func (m *Machine) protectedAt(addr uint64) bool {
 }
 
 // load performs an architectural data load.
-func (m *Machine) load(p *proc, pc, addr uint64, monitored bool) uint64 {
+func (m *Machine) load(p *proc, s *addrSlot, addr uint64) uint64 {
 	if m.protectedAt(addr) {
 		// Permission fault: the access never completes architecturally.
 		p.halted = true
@@ -310,50 +339,44 @@ func (m *Machine) load(p *proc, pc, addr uint64, monitored bool) uint64 {
 	}
 	res := m.hier.Access(addr, cache.Load, p.owner)
 	m.cycles += res.Latency
-	m.fireAccessEvents(res, pc, monitored)
-	if monitored {
-		m.trace.memLine(pc, m.hier.LLC().LineAddr(addr), m.cycles)
-		m.trace.setAccess(m.cycles, m.hier.LLCSetIndex(addr), m.hier.LLC().LineAddr(addr), SetRead, pc)
-	}
+	m.fireAccessEvents(res, s)
+	m.traceData(s, addr, SetRead)
 	return m.mem.Load64(addr)
 }
 
 // store performs an architectural data store.
-func (m *Machine) store(p *proc, pc, addr, val uint64, monitored bool) {
+func (m *Machine) store(p *proc, s *addrSlot, addr, val uint64) {
 	if m.protectedAt(addr) {
 		p.halted = true
 		return
 	}
 	res := m.hier.Access(addr, cache.Store, p.owner)
 	m.cycles += res.Latency
-	m.fireAccessEvents(res, pc, monitored)
-	if monitored {
-		m.trace.memLine(pc, m.hier.LLC().LineAddr(addr), m.cycles)
-		m.trace.setAccess(m.cycles, m.hier.LLCSetIndex(addr), m.hier.LLC().LineAddr(addr), SetWrite, pc)
-	}
+	m.fireAccessEvents(res, s)
+	m.traceData(s, addr, SetWrite)
 	m.mem.Store64(addr, val)
 }
 
 // readOperand evaluates a source operand architecturally.
-func (m *Machine) readOperand(p *proc, pc uint64, op isa.Operand, monitored bool) uint64 {
+func (m *Machine) readOperand(p *proc, s *addrSlot, op *isa.Operand) uint64 {
 	switch op.Kind {
 	case isa.OpReg:
 		return p.regs[op.Base]
 	case isa.OpImm:
 		return uint64(op.Disp)
 	case isa.OpMem:
-		return m.load(p, pc, ea(op, &p.regs), monitored)
+		return m.load(p, s, ea(op, &p.regs))
 	}
 	return 0
 }
 
 // writeOperand writes an architectural destination operand.
-func (m *Machine) writeOperand(p *proc, pc uint64, op isa.Operand, val uint64, monitored bool) {
+func (m *Machine) writeOperand(p *proc, s *addrSlot, op *isa.Operand, val uint64) {
 	switch op.Kind {
 	case isa.OpReg:
 		p.regs[op.Base] = val
 	case isa.OpMem:
-		m.store(p, pc, ea(op, &p.regs), val, monitored)
+		m.store(p, s, ea(op, &p.regs), val)
 	}
 }
 
@@ -411,20 +434,25 @@ func evalCond(op isa.Opcode, fl flags) bool {
 	return false
 }
 
-// step retires one instruction of p.
+// step retires one instruction of p. monitored marks the traced
+// process.
 func (m *Machine) step(p *proc, monitored bool) {
-	pc := p.pc
-	in, ok := p.prog.At(pc)
-	if !ok {
+	pc, pos := p.pc, p.pos
+	if pos < 0 {
 		// Fell off the program (fault): halt.
 		p.halted = true
 		return
+	}
+	in := p.code.Insn(pos)
+	var s *addrSlot
+	if monitored {
+		s = &m.slots[pos]
 	}
 
 	// Instruction fetch through the I-cache.
 	fres := m.hier.Access(pc, cache.Fetch, p.owner)
 	m.cycles += fres.Latency / 4 // fetch overlaps with execution
-	m.fireAccessEvents(fres, pc, monitored)
+	m.fireAccessEvents(fres, s)
 
 	m.cycles++ // base execution cost
 	nextPC := in.Next()
@@ -437,66 +465,63 @@ func (m *Machine) step(p *proc, monitored bool) {
 		p.halted = true
 
 	case isa.MOV:
-		v := m.readOperand(p, pc, in.Src, monitored)
-		m.writeOperand(p, pc, in.Dst, v, monitored)
+		v := m.readOperand(p, s, &in.Src)
+		m.writeOperand(p, s, &in.Dst, v)
 
 	case isa.LEA:
-		p.regs[in.Dst.Base] = ea(in.Src, &p.regs)
+		p.regs[in.Dst.Base] = ea(&in.Src, &p.regs)
 
 	case isa.ADD, isa.SUB, isa.MUL, isa.XOR, isa.AND, isa.OR, isa.SHL, isa.SHR:
-		a := m.readOperand(p, pc, in.Dst, monitored)
-		b := m.readOperand(p, pc, in.Src, monitored)
+		a := m.readOperand(p, s, &in.Dst)
+		b := m.readOperand(p, s, &in.Src)
 		r := alu(in.Op, a, b)
-		m.writeOperand(p, pc, in.Dst, r, monitored)
+		m.writeOperand(p, s, &in.Dst, r)
 		setResultFlags(&p.fl, r)
 
 	case isa.INC, isa.DEC:
-		a := m.readOperand(p, pc, in.Dst, monitored)
+		a := m.readOperand(p, s, &in.Dst)
 		r := alu(in.Op, a, 0)
-		m.writeOperand(p, pc, in.Dst, r, monitored)
+		m.writeOperand(p, s, &in.Dst, r)
 		setResultFlags(&p.fl, r)
 
 	case isa.CMP:
-		a := m.readOperand(p, pc, in.Dst, monitored)
-		b := m.readOperand(p, pc, in.Src, monitored)
+		a := m.readOperand(p, s, &in.Dst)
+		b := m.readOperand(p, s, &in.Src)
 		p.fl.zf = a == b
 		p.fl.lt = int64(a) < int64(b)
 		p.fl.below = a < b
 
 	case isa.TEST:
-		a := m.readOperand(p, pc, in.Dst, monitored)
-		b := m.readOperand(p, pc, in.Src, monitored)
+		a := m.readOperand(p, s, &in.Dst)
+		b := m.readOperand(p, s, &in.Src)
 		setResultFlags(&p.fl, a&b)
 
 	case isa.PUSH:
-		v := m.readOperand(p, pc, in.Dst, monitored)
+		v := m.readOperand(p, s, &in.Dst)
 		p.regs[isa.R14] -= 8
-		m.store(p, pc, p.regs[isa.R14], v, monitored)
+		m.store(p, s, p.regs[isa.R14], v)
 
 	case isa.POP:
-		v := m.load(p, pc, p.regs[isa.R14], monitored)
+		v := m.load(p, s, p.regs[isa.R14])
 		p.regs[isa.R14] += 8
-		m.writeOperand(p, pc, in.Dst, v, monitored)
+		m.writeOperand(p, s, &in.Dst, v)
 
 	case isa.CLFLUSH:
-		addr := ea(in.Dst, &p.regs)
+		addr := ea(&in.Dst, &p.regs)
 		lat, wasCached := m.hier.Flush(addr)
 		m.cycles += lat
-		if monitored {
-			m.trace.flushLine(pc, m.hier.LLC().LineAddr(addr), m.cycles)
-			m.trace.setAccess(m.cycles, m.hier.LLCSetIndex(addr), m.hier.LLC().LineAddr(addr), SetFlush, pc)
-			if wasCached {
-				// The forced eviction reaches memory (writeback path);
-				// HPCs observe it as a cache miss, which is what makes
-				// flush-phase blocks visible to the modeling pipeline.
-				m.trace.fire(hpc.CacheMiss, pc, m.cycles)
-			}
+		m.traceData(s, addr, SetFlush)
+		if s != nil && wasCached {
+			// The forced eviction reaches memory (writeback path);
+			// HPCs observe it as a cache miss, which is what makes
+			// flush-phase blocks visible to the modeling pipeline.
+			m.trace.fire(hpc.CacheMiss, s, m.cycles)
 		}
 
 	case isa.RDTSCP:
 		p.regs[in.Dst.Base] = m.cycles
-		if monitored {
-			m.trace.fire(hpc.Timestamp, pc, m.cycles)
+		if s != nil {
+			m.trace.fire(hpc.Timestamp, s, m.cycles)
 		}
 
 	case isa.JMP:
@@ -506,15 +531,15 @@ func (m *Machine) step(p *proc, monitored bool) {
 			// Indirect jump: the front end fetches from the BTB's stale
 			// target until the real one resolves — the Spectre-v2
 			// branch-target-injection window.
-			actual := m.readOperand(p, pc, in.Dst, monitored)
+			actual := m.readOperand(p, s, &in.Dst)
 			predicted, had := m.pred.UpdateIndirect(pc, actual)
 			if !had {
-				if monitored {
-					m.trace.fire(hpc.BranchLoadMiss, pc, m.cycles)
+				if s != nil {
+					m.trace.fire(hpc.BranchLoadMiss, s, m.cycles)
 				}
 			} else if predicted != actual {
-				if monitored {
-					m.trace.fire(hpc.BranchMiss, pc, m.cycles)
+				if s != nil {
+					m.trace.fire(hpc.BranchMiss, s, m.cycles)
 				}
 				m.cycles += 15
 				if m.cfg.SpecWindow > 0 {
@@ -526,7 +551,7 @@ func (m *Machine) step(p *proc, monitored bool) {
 
 	case isa.CALL:
 		p.regs[isa.R14] -= 8
-		m.store(p, pc, p.regs[isa.R14], in.Next(), monitored)
+		m.store(p, s, p.regs[isa.R14], in.Next())
 		if in.Dst.Kind == isa.OpImm {
 			nextPC = uint64(in.Dst.Disp)
 		} else {
@@ -534,7 +559,7 @@ func (m *Machine) step(p *proc, monitored bool) {
 		}
 
 	case isa.RET:
-		nextPC = m.load(p, pc, p.regs[isa.R14], monitored)
+		nextPC = m.load(p, s, p.regs[isa.R14])
 		p.regs[isa.R14] += 8
 
 	case isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE, isa.JB, isa.JAE:
@@ -542,12 +567,12 @@ func (m *Machine) step(p *proc, monitored bool) {
 		target := uint64(in.Dst.Disp)
 		predictedTaken := m.pred.PredictTaken(pc)
 		mispredicted, btbMiss := m.pred.Update(pc, taken, target)
-		if monitored {
+		if s != nil {
 			if mispredicted {
-				m.trace.fire(hpc.BranchMiss, pc, m.cycles)
+				m.trace.fire(hpc.BranchMiss, s, m.cycles)
 			}
 			if btbMiss {
-				m.trace.fire(hpc.BranchLoadMiss, pc, m.cycles)
+				m.trace.fire(hpc.BranchLoadMiss, s, m.cycles)
 			}
 		}
 
@@ -568,9 +593,10 @@ func (m *Machine) step(p *proc, monitored bool) {
 	}
 
 	p.pc = nextPC
+	p.pos = p.code.Resolve(pos, nextPC)
 	p.retired++
-	if monitored {
-		m.trace.retire(pc, m.cycles)
+	if s != nil {
+		m.trace.retire(s, m.cycles)
 		m.trace.tickWindows(m.cycles)
 	}
 }
@@ -583,46 +609,29 @@ func (m *Machine) step(p *proc, monitored bool) {
 func (m *Machine) speculate(p *proc, startPC uint64, monitored bool) {
 	regs := p.regs // copy of the architectural register file
 	fl := p.fl
-	pc := startPC
-	for i := 0; i < m.cfg.SpecWindow; i++ {
-		in, ok := p.prog.At(pc)
-		if !ok || in.Op.IsSerializing() {
+	pos, ok := p.code.Index(startPC)
+	for i := 0; i < m.cfg.SpecWindow && ok; i++ {
+		in := p.code.Insn(pos)
+		if in.Op.IsSerializing() {
 			return
 		}
+		var s *addrSlot
+		if monitored {
+			s = &m.slots[pos]
+		}
 		next := in.Next()
-		specLoad := func(addr uint64) uint64 {
-			res := m.hier.Access(addr, cache.Load, p.owner)
-			m.cycles += res.Latency / 2 // overlapped with recovery
-			m.fireAccessEvents(res, pc, monitored)
-			if monitored {
-				m.trace.memLine(pc, m.hier.LLC().LineAddr(addr), m.cycles)
-				m.trace.setAccess(m.cycles, m.hier.LLCSetIndex(addr), m.hier.LLC().LineAddr(addr), SetRead, pc)
-			}
-			return m.mem.Load64(addr)
-		}
-		read := func(op isa.Operand) uint64 {
-			switch op.Kind {
-			case isa.OpReg:
-				return regs[op.Base]
-			case isa.OpImm:
-				return uint64(op.Disp)
-			case isa.OpMem:
-				return specLoad(ea(op, &regs))
-			}
-			return 0
-		}
 		switch in.Op {
 		case isa.NOP:
 		case isa.MOV:
 			if in.Dst.Kind == isa.OpReg {
-				regs[in.Dst.Base] = read(in.Src)
+				regs[in.Dst.Base] = m.specRead(p, s, &in.Src, &regs)
 			}
 			// Transient stores stay in the store buffer: no effect.
 		case isa.LEA:
-			regs[in.Dst.Base] = ea(in.Src, &regs)
+			regs[in.Dst.Base] = ea(&in.Src, &regs)
 		case isa.ADD, isa.SUB, isa.MUL, isa.XOR, isa.AND, isa.OR, isa.SHL, isa.SHR:
 			if in.Dst.Kind == isa.OpReg {
-				r := alu(in.Op, regs[in.Dst.Base], read(in.Src))
+				r := alu(in.Op, regs[in.Dst.Base], m.specRead(p, s, &in.Src, &regs))
 				regs[in.Dst.Base] = r
 				setResultFlags(&fl, r)
 			}
@@ -633,10 +642,12 @@ func (m *Machine) speculate(p *proc, startPC uint64, monitored bool) {
 				setResultFlags(&fl, r)
 			}
 		case isa.CMP:
-			a, b := read(in.Dst), read(in.Src)
+			a := m.specRead(p, s, &in.Dst, &regs)
+			b := m.specRead(p, s, &in.Src, &regs)
 			fl.zf, fl.lt, fl.below = a == b, int64(a) < int64(b), a < b
 		case isa.TEST:
-			setResultFlags(&fl, read(in.Dst)&read(in.Src))
+			a := m.specRead(p, s, &in.Dst, &regs)
+			setResultFlags(&fl, a&m.specRead(p, s, &in.Src, &regs))
 		case isa.JMP:
 			if in.Dst.Kind == isa.OpImm {
 				next = uint64(in.Dst.Disp)
@@ -656,6 +667,27 @@ func (m *Machine) speculate(p *proc, startPC uint64, monitored bool) {
 		if monitored {
 			m.trace.Transient++
 		}
-		pc = next
+		pos = p.code.Resolve(pos, next)
+		ok = pos >= 0
 	}
+}
+
+// specRead evaluates a source operand on the transient path: a memory
+// operand is a real cache access (the leak) against the transient
+// register file regs.
+func (m *Machine) specRead(p *proc, s *addrSlot, op *isa.Operand, regs *[isa.NumRegs]uint64) uint64 {
+	switch op.Kind {
+	case isa.OpReg:
+		return regs[op.Base]
+	case isa.OpImm:
+		return uint64(op.Disp)
+	case isa.OpMem:
+		addr := ea(op, regs)
+		res := m.hier.Access(addr, cache.Load, p.owner)
+		m.cycles += res.Latency / 2 // overlapped with recovery
+		m.fireAccessEvents(res, s)
+		m.traceData(s, addr, SetRead)
+		return m.mem.Load64(addr)
+	}
+	return 0
 }

@@ -140,34 +140,55 @@ func (t *Trace) event(kind EventKind, cycle, pc, line uint64, e hpc.Event) {
 	t.Events = append(t.Events, Event{Kind: kind, Cycle: cycle, PC: pc, Line: line, HPC: e})
 }
 
-func (t *Trace) record(pc uint64, cycle uint64) *AddrRecord {
-	r := t.ByAddr[pc]
-	if r == nil {
-		r = &AddrRecord{
+// addrSlot caches the trace state of one instruction address of the
+// monitored process: its record and HPC counter vector, each created on
+// the address's first event, and the last memory and flush line added to
+// the record, so that repeating a line skips the set insert. The machine
+// keeps one slot per instruction position and a TraceBuilder one per
+// replayed address, so the hot path touches Trace.ByAddr and the Bank's
+// map once per distinct address instead of once per event.
+type addrSlot struct {
+	pc                 uint64
+	rec                *AddrRecord
+	hpc                *hpc.Counts
+	lastMem, lastFlush uint64
+	haveMem, haveFlush bool
+}
+
+func (t *Trace) record(s *addrSlot, cycle uint64) *AddrRecord {
+	if s.rec == nil {
+		s.rec = &AddrRecord{
 			FirstCycle: cycle,
 			MemLines:   make(map[uint64]struct{}),
 			FlushLines: make(map[uint64]struct{}),
 		}
-		t.ByAddr[pc] = r
+		t.ByAddr[s.pc] = s.rec
 	}
-	return r
+	return s.rec
 }
 
-func (t *Trace) retire(pc uint64, cycle uint64) {
-	r := t.record(pc, cycle)
-	r.ExecCount++
+func (t *Trace) retire(s *addrSlot, cycle uint64) {
+	t.record(s, cycle).ExecCount++
 	t.Retired++
-	t.event(EvRetire, cycle, pc, 0, 0)
+	t.event(EvRetire, cycle, s.pc, 0, 0)
 }
 
-func (t *Trace) memLine(pc, lineAddr uint64, cycle uint64) {
-	t.record(pc, cycle).MemLines[lineAddr] = struct{}{}
-	t.event(EvMem, cycle, pc, lineAddr, 0)
+func (t *Trace) memLine(s *addrSlot, lineAddr uint64, cycle uint64) {
+	r := t.record(s, cycle)
+	if !s.haveMem || s.lastMem != lineAddr {
+		r.MemLines[lineAddr] = struct{}{}
+		s.lastMem, s.haveMem = lineAddr, true
+	}
+	t.event(EvMem, cycle, s.pc, lineAddr, 0)
 }
 
-func (t *Trace) flushLine(pc, lineAddr uint64, cycle uint64) {
-	t.record(pc, cycle).FlushLines[lineAddr] = struct{}{}
-	t.event(EvFlush, cycle, pc, lineAddr, 0)
+func (t *Trace) flushLine(s *addrSlot, lineAddr uint64, cycle uint64) {
+	r := t.record(s, cycle)
+	if !s.haveFlush || s.lastFlush != lineAddr {
+		r.FlushLines[lineAddr] = struct{}{}
+		s.lastFlush, s.haveFlush = lineAddr, true
+	}
+	t.event(EvFlush, cycle, s.pc, lineAddr, 0)
 }
 
 func (t *Trace) setAccess(cycle uint64, set int, line uint64, kind SetAccessKind, pc uint64) {
@@ -178,10 +199,13 @@ func (t *Trace) setAccess(cycle uint64, set int, line uint64, kind SetAccessKind
 }
 
 // fire records an HPC event both in the bank and the current window.
-func (t *Trace) fire(e hpc.Event, pc uint64, cycle uint64) {
-	t.Bank.Fire(e, pc)
+func (t *Trace) fire(e hpc.Event, s *addrSlot, cycle uint64) {
+	if s.hpc == nil {
+		s.hpc = t.Bank.Counter(s.pc)
+	}
+	t.Bank.FireAt(e, s.hpc)
 	t.curWindow.Counts[e]++
-	t.event(EvHPC, cycle, pc, 0, e)
+	t.event(EvHPC, cycle, s.pc, 0, e)
 }
 
 // tickWindows advances window sampling to the given cycle.
@@ -222,26 +246,32 @@ func (t *Trace) Addrs() []uint64 {
 // Retired/Transient totals of the original run are NOT reconstructed —
 // they feed the baselines, not CST-BBS modeling.
 type TraceBuilder struct {
-	t *Trace
+	t     *Trace
+	slots map[uint64]*addrSlot
 }
 
 // NewTraceBuilder returns an empty builder.
 func NewTraceBuilder() *TraceBuilder {
-	return &TraceBuilder{t: newTrace(0, 0, false, 0)}
+	return &TraceBuilder{t: newTrace(0, 0, false, 0), slots: make(map[uint64]*addrSlot)}
 }
 
 // Apply replays one event. Events must be applied in log order (cycles
 // nondecreasing); Apply does not re-sort.
 func (b *TraceBuilder) Apply(ev Event) {
+	s := b.slots[ev.PC]
+	if s == nil {
+		s = &addrSlot{pc: ev.PC}
+		b.slots[ev.PC] = s
+	}
 	switch ev.Kind {
 	case EvRetire:
-		b.t.retire(ev.PC, ev.Cycle)
+		b.t.retire(s, ev.Cycle)
 	case EvMem:
-		b.t.memLine(ev.PC, ev.Line, ev.Cycle)
+		b.t.memLine(s, ev.Line, ev.Cycle)
 	case EvFlush:
-		b.t.flushLine(ev.PC, ev.Line, ev.Cycle)
+		b.t.flushLine(s, ev.Line, ev.Cycle)
 	case EvHPC:
-		b.t.fire(ev.HPC, ev.PC, ev.Cycle)
+		b.t.fire(ev.HPC, s, ev.Cycle)
 	}
 }
 

@@ -114,12 +114,31 @@ func (b *Bank) FireN(e Event, addr uint64, n uint64) {
 		return
 	}
 	b.global[e] += n
+	b.Counter(addr)[e] += n
+}
+
+// Counter returns the counter vector attributed to addr, creating it. A
+// caller that fires many events at one address keeps the vector and
+// passes it to FireAt, skipping the per-event map lookup; it calls
+// Counter only when the first event at addr fires, so Addrs keeps
+// listing exactly the addresses with events.
+func (b *Bank) Counter(addr uint64) *Counts {
 	c := b.byAddr[addr]
 	if c == nil {
 		c = new(Counts)
 		b.byAddr[addr] = c
 	}
-	c[e] += n
+	return c
+}
+
+// FireAt records one occurrence of event e in c, a vector Counter
+// returned for this bank.
+func (b *Bank) FireAt(e Event, c *Counts) {
+	if e >= NumEvents {
+		return
+	}
+	b.global[e]++
+	c[e]++
 }
 
 // Global returns the machine-wide counter vector.

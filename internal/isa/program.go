@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // DataSegment describes a region of initialized or reserved memory that a
@@ -32,6 +33,10 @@ func (d DataSegment) Contains(addr uint64) bool {
 // Program is an assembled unit: a sorted instruction stream, its entry
 // point, data segments and symbolic labels. It is the artefact the whole
 // pipeline consumes — the stand-in for an ELF binary in the paper.
+//
+// A validated Program may be shared by concurrent readers (detections of
+// the same PoC on several goroutines); code that edits Insns in place must
+// call Validate again before the next use.
 type Program struct {
 	Name   string
 	Entry  uint64
@@ -39,25 +44,24 @@ type Program struct {
 	Data   []DataSegment
 	Labels map[string]uint64
 
-	index map[uint64]int // Addr -> position in Insns
+	decoded atomic.Pointer[Decoded]
 }
 
-// buildIndex (re)creates the address index. Called by the assembler and
-// by Validate; callers constructing Program values by hand should call
-// Validate before use.
-func (p *Program) buildIndex() {
-	p.index = make(map[uint64]int, len(p.Insns))
-	for i, in := range p.Insns {
-		p.index[in.Addr] = i
+// Decoded returns the pre-decoded form of the program, decoding it on
+// first use. Validate refreshes it when Insns changed since; callers
+// constructing Program values by hand should call Validate before use.
+func (p *Program) Decoded() *Decoded {
+	if d := p.decoded.Load(); d != nil {
+		return d
 	}
+	d := decode(p.Insns)
+	p.decoded.Store(d)
+	return d
 }
 
 // At returns the instruction at the exact address addr.
 func (p *Program) At(addr uint64) (Instruction, bool) {
-	if p.index == nil {
-		p.buildIndex()
-	}
-	i, ok := p.index[addr]
+	i, ok := p.Decoded().Index(addr)
 	if !ok {
 		return Instruction{}, false
 	}
@@ -66,11 +70,7 @@ func (p *Program) At(addr uint64) (Instruction, bool) {
 
 // IndexOf returns the position in Insns of the instruction at addr.
 func (p *Program) IndexOf(addr uint64) (int, bool) {
-	if p.index == nil {
-		p.buildIndex()
-	}
-	i, ok := p.index[addr]
-	return i, ok
+	return p.Decoded().Index(addr)
 }
 
 // Label resolves a symbolic label to its address.
@@ -137,11 +137,15 @@ func (p *Program) Validate() error {
 				p.Name, prev.Addr, cur.Addr)
 		}
 	}
-	p.buildIndex()
-	if _, ok := p.index[p.Entry]; !ok {
+	d := p.decoded.Load()
+	if d == nil || !d.matches(p.Insns) {
+		d = decode(p.Insns)
+		p.decoded.Store(d)
+	}
+	if _, ok := d.Index(p.Entry); !ok {
 		return fmt.Errorf("program %q: entry 0x%x is not an instruction", p.Name, p.Entry)
 	}
-	for _, in := range p.Insns {
+	for i, in := range p.Insns {
 		if !in.Op.Valid() {
 			return fmt.Errorf("program %q: invalid opcode at 0x%x", p.Name, in.Addr)
 		}
@@ -149,7 +153,7 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("program %q: zero-size instruction at 0x%x", p.Name, in.Addr)
 		}
 		if t, ok := in.BranchTarget(); ok {
-			if _, exists := p.index[t]; !exists {
+			if d.Target(i) < 0 {
 				return fmt.Errorf("program %q: %s at 0x%x targets 0x%x which is not an instruction",
 					p.Name, in.Op, in.Addr, t)
 			}

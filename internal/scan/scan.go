@@ -554,4 +554,3 @@ func pruneCutoff(best float64) float64 {
 	}
 	return best + best*1e-9 + 1e-15
 }
-

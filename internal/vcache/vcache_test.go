@@ -320,8 +320,12 @@ func TestTargetHashProperties(t *testing.T) {
 		"leader": func() *model.CSTBBS { b := bbsFixture("a", 0.5); b.Seq[0].Leader = 0x80; return b }(),
 		"cycle":  func() *model.CSTBBS { b := bbsFixture("a", 0.5); b.Seq[0].FirstCycle = 8; return b }(),
 		"hpc":    func() *model.CSTBBS { b := bbsFixture("a", 0.5); b.Seq[0].HPCValue = 4; return b }(),
-		"insns":  func() *model.CSTBBS { b := bbsFixture("a", 0.5); b.Seq[0].NormInsns = []string{"clflush mem"}; return b }(),
-		"empty":  {Name: "a"},
+		"insns": func() *model.CSTBBS {
+			b := bbsFixture("a", 0.5)
+			b.Seq[0].NormInsns = []string{"clflush mem"}
+			return b
+		}(),
+		"empty": {Name: "a"},
 	}
 	ref := TargetHash(base)
 	seen := map[string]string{"base": ref}

@@ -31,6 +31,7 @@ import (
 	"repro/internal/breaker"
 	"repro/internal/dataset"
 	"repro/internal/detect"
+	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/model"
 	"repro/internal/mutate"
@@ -40,7 +41,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/similarity"
-	"repro/internal/exec"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/window"
