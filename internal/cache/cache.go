@@ -78,15 +78,6 @@ func (c Config) SetIndex(addr uint64) int {
 	return int((addr >> bits.TrailingZeros64(uint64(c.LineSize))) & uint64(c.Sets-1))
 }
 
-// lineMeta is the state of one cache way besides its tag. stamp orders
-// victims: under LRU it is the tick of the last access, under FIFO the
-// tick of the fill. The tag and owner of an invalid way are never read.
-type lineMeta struct {
-	stamp uint64
-	owner Owner
-	valid bool
-}
-
 // Stats accumulates hit/miss/flush counts.
 type Stats struct {
 	Hits      uint64
@@ -97,13 +88,17 @@ type Stats struct {
 
 // Cache is one set-associative cache level. Create with New.
 //
-// The ways of set s are entries s*ways .. s*ways+ways-1 of two flat
-// arrays: tags, scanned on every lookup, and meta, touched only on the
-// way a lookup lands on.
+// The ways of set s are entries s*ways .. s*ways+ways-1 of three flat
+// arrays. tags is scanned on every lookup. stamps orders victims — under
+// LRU the tick of the last access, under FIFO the tick of the fill — and
+// doubles as the valid bit: ticks start at 1, so a stamp is 0 exactly
+// when its way is empty. owners records the process that last touched
+// the line. The tag and owner of an empty way are never read.
 type Cache struct {
 	cfg        Config
 	tags       []uint64
-	meta       []lineMeta
+	stamps     []uint64
+	owners     []Owner
 	ways       int
 	tick       uint64
 	rng        *rand.Rand // created on the first Random victim choice
@@ -122,10 +117,12 @@ func New(cfg Config) (*Cache, error) {
 	}
 	setShift := uint(bits.TrailingZeros64(uint64(cfg.LineSize)))
 	n := cfg.Sets * cfg.Ways
+	words := make([]uint64, 2*n)
 	return &Cache{
 		cfg:        cfg,
-		tags:       make([]uint64, n),
-		meta:       make([]lineMeta, n),
+		tags:       words[:n:n],
+		stamps:     words[n:],
+		owners:     make([]Owner, n),
 		ways:       cfg.Ways,
 		setShift:   setShift,
 		tagShift:   setShift + uint(bits.TrailingZeros64(uint64(cfg.Sets))),
@@ -165,7 +162,7 @@ func (c *Cache) tag(addr uint64) uint64 { return addr >> c.tagShift }
 func (c *Cache) find(si int, t uint64) int {
 	base := si * c.ways
 	for i, tg := range c.tags[base : base+c.ways] {
-		if tg == t && c.meta[base+i].valid {
+		if tg == t && c.stamps[base+i] != 0 {
 			return base + i
 		}
 	}
@@ -207,25 +204,23 @@ func (c *Cache) access(addr uint64, owner Owner) (hit bool, ev EvictedLine, evic
 	}
 	c.stats.Misses++
 	victim := c.chooseVictim(si)
-	if m := &c.meta[victim]; m.valid {
+	if c.stamps[victim] != 0 {
 		c.stats.Evictions++
-		ev = EvictedLine{Addr: c.reconstructAddr(c.tags[victim], si), Owner: m.owner}
+		ev = EvictedLine{Addr: c.reconstructAddr(c.tags[victim], si), Owner: c.owners[victim]}
 		evicted = true
 	} else {
 		c.usedLines++
 	}
-	c.tags[victim] = t
-	c.meta[victim] = lineMeta{stamp: c.tick, owner: owner, valid: true}
+	c.tags[victim], c.stamps[victim], c.owners[victim] = t, c.tick, owner
 	return false, ev, evicted
 }
 
 // hit records an access that found its line in entry i.
 func (c *Cache) hit(i int, owner Owner) {
-	m := &c.meta[i]
 	if c.cfg.Policy != FIFO {
-		m.stamp = c.tick
+		c.stamps[i] = c.tick
 	}
-	m.owner = owner // the most recent toucher owns the line
+	c.owners[i] = owner // the most recent toucher owns the line
 	c.stats.Hits++
 }
 
@@ -236,10 +231,10 @@ func (c *Cache) reconstructAddr(tag uint64, setIdx int) uint64 {
 // chooseVictim returns the entry of set si to fill.
 func (c *Cache) chooseVictim(si int) int {
 	base := si * c.ways
-	set := c.meta[base : base+c.ways]
+	set := c.stamps[base : base+c.ways]
 	// Prefer an invalid way.
-	for i := range set {
-		if !set[i].valid {
+	for i, st := range set {
+		if st == 0 {
 			return base + i
 		}
 	}
@@ -252,7 +247,7 @@ func (c *Cache) chooseVictim(si int) int {
 	// LRU and FIFO: the oldest stamp.
 	best := 0
 	for i := 1; i < len(set); i++ {
-		if set[i].stamp < set[best].stamp {
+		if set[i] < set[best] {
 			best = i
 		}
 	}
@@ -263,7 +258,7 @@ func (c *Cache) chooseVictim(si int) int {
 // present (the timing signal Flush+Flush exploits).
 func (c *Cache) Flush(addr uint64) bool {
 	if i := c.find(c.SetIndex(addr), c.tag(addr)); i >= 0 {
-		c.meta[i] = lineMeta{}
+		c.stamps[i] = 0
 		c.stats.Flushes++
 		c.usedLines--
 		return true
@@ -273,7 +268,7 @@ func (c *Cache) Flush(addr uint64) bool {
 
 // InvalidateAll empties the cache (counters are preserved).
 func (c *Cache) InvalidateAll() {
-	clear(c.meta)
+	clear(c.stamps)
 	c.usedLines = 0
 }
 
@@ -285,7 +280,7 @@ func (c *Cache) FillAll(owner Owner) {
 	c.tick++
 	for i := range c.tags {
 		c.tags[i] = ^uint64(0) - uint64(i%c.ways) // high tags, disjoint from real data
-		c.meta[i] = lineMeta{stamp: c.tick, owner: owner, valid: true}
+		c.stamps[i], c.owners[i] = c.tick, owner
 	}
 	c.usedLines = c.totalLines
 }
@@ -302,12 +297,11 @@ type State struct {
 // program" of Definition 3.
 func (c *Cache) Occupancy(attacker Owner) State {
 	var ao, io int
-	for i := range c.meta {
-		l := &c.meta[i]
-		if !l.valid {
+	for i, st := range c.stamps {
+		if st == 0 {
 			continue
 		}
-		if l.owner == attacker {
+		if c.owners[i] == attacker {
 			ao++
 		} else {
 			io++
@@ -327,7 +321,7 @@ func (c *Cache) TotalLines() int { return c.totalLines }
 // OwnerNone when the line is absent.
 func (c *Cache) OwnerOfLine(addr uint64) Owner {
 	if i := c.find(c.SetIndex(addr), c.tag(addr)); i >= 0 {
-		return c.meta[i].owner
+		return c.owners[i]
 	}
 	return OwnerNone
 }
@@ -337,8 +331,8 @@ func (c *Cache) OwnerOfLine(addr uint64) Owner {
 func (c *Cache) SetOccupants(addr uint64) int {
 	base := c.SetIndex(addr) * c.ways
 	n := 0
-	for _, m := range c.meta[base : base+c.ways] {
-		if m.valid {
+	for _, st := range c.stamps[base : base+c.ways] {
+		if st != 0 {
 			n++
 		}
 	}

@@ -41,6 +41,14 @@ func TestSetIndexAndLineAddr(t *testing.T) {
 	if c.LineAddr(0x7f) != 0x40 {
 		t.Errorf("LineAddr = %#x", c.LineAddr(0x7f))
 	}
+	llc := MustNew(DefaultHierarchyConfig().LLC)
+	for _, cc := range []*Cache{c, llc} {
+		for addr := uint64(0); addr < 1<<20; addr += 24 {
+			if got, want := cc.Config().SetIndex(addr), cc.SetIndex(addr); got != want {
+				t.Fatalf("%s: Config.SetIndex(%#x) = %d, Cache.SetIndex %d", cc.Config().Name, addr, got, want)
+			}
+		}
+	}
 }
 
 func TestAccessHitMiss(t *testing.T) {

@@ -434,6 +434,10 @@ func evalCond(op isa.Opcode, fl flags) bool {
 	return false
 }
 
+// fallthroughPC is in.Next() without the copy of the instruction a
+// value-receiver call makes on the hot path.
+func fallthroughPC(in *isa.Instruction) uint64 { return in.Addr + uint64(in.Size) }
+
 // step retires one instruction of p. monitored marks the traced
 // process.
 func (m *Machine) step(p *proc, monitored bool) {
@@ -455,7 +459,7 @@ func (m *Machine) step(p *proc, monitored bool) {
 	m.fireAccessEvents(fres, s)
 
 	m.cycles++ // base execution cost
-	nextPC := in.Next()
+	nextPC := fallthroughPC(in)
 
 	switch in.Op {
 	case isa.NOP, isa.LFENCE, isa.MFENCE:
@@ -551,7 +555,7 @@ func (m *Machine) step(p *proc, monitored bool) {
 
 	case isa.CALL:
 		p.regs[isa.R14] -= 8
-		m.store(p, s, p.regs[isa.R14], in.Next())
+		m.store(p, s, p.regs[isa.R14], fallthroughPC(in))
 		if in.Dst.Kind == isa.OpImm {
 			nextPC = uint64(in.Dst.Disp)
 		} else {
@@ -580,7 +584,7 @@ func (m *Machine) step(p *proc, monitored bool) {
 			m.cycles += 15 // misprediction penalty
 			if m.cfg.SpecWindow > 0 {
 				// The transient path is the one the predictor chose.
-				wrongPC := in.Next()
+				wrongPC := fallthroughPC(in)
 				if predictedTaken {
 					wrongPC = target
 				}
@@ -619,7 +623,7 @@ func (m *Machine) speculate(p *proc, startPC uint64, monitored bool) {
 		if monitored {
 			s = &m.slots[pos]
 		}
-		next := in.Next()
+		next := fallthroughPC(in)
 		switch in.Op {
 		case isa.NOP:
 		case isa.MOV:

@@ -40,6 +40,38 @@ func TestMemoryByteAndWord(t *testing.T) {
 	}
 }
 
+// TestMemoryWordsMatchBytes: a word access at every offset around a
+// page boundary equals its eight byte accesses, and reading untouched
+// memory materializes no page.
+func TestMemoryWordsMatchBytes(t *testing.T) {
+	m := NewMemory()
+	for addr := uint64(3*pageSize - 24); addr < 3*pageSize+8; addr++ {
+		v := 0x0102030405060708 * (addr | 1)
+		m.Store64(addr, v)
+		var bytes uint64
+		for i := uint64(0); i < 8; i++ {
+			bytes |= uint64(m.LoadByte(addr+i)) << (8 * i)
+		}
+		if got := m.Load64(addr); got != v || bytes != v {
+			t.Fatalf("addr %#x: Load64 %#x, bytes %#x, want %#x", addr, got, bytes, v)
+		}
+	}
+	pages := m.PageCount()
+	if m.Load64(40*pageSize+100) != 0 || m.Load64(41*pageSize-3) != 0 || m.PageCount() != pages {
+		t.Fatal("reading untouched memory changed it")
+	}
+	data := make([]byte, 2*pageSize+10)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	m.WriteBytes(9*pageSize-5, data)
+	for i, want := range data {
+		if got := m.LoadByte(9*pageSize - 5 + uint64(i)); got != want {
+			t.Fatalf("WriteBytes byte %d = %d, want %d", i, got, want)
+		}
+	}
+}
+
 func TestPredictorTraining(t *testing.T) {
 	bp := NewBranchPredictor(64)
 	pc := uint64(0x100)

@@ -142,17 +142,14 @@ func (t *Trace) event(kind EventKind, cycle, pc, line uint64, e hpc.Event) {
 
 // addrSlot caches the trace state of one instruction address of the
 // monitored process: its record and HPC counter vector, each created on
-// the address's first event, and the last memory and flush line added to
-// the record, so that repeating a line skips the set insert. The machine
-// keeps one slot per instruction position and a TraceBuilder one per
-// replayed address, so the hot path touches Trace.ByAddr and the Bank's
-// map once per distinct address instead of once per event.
+// the address's first event. The machine keeps one slot per instruction
+// position and a TraceBuilder one per replayed address, so the hot path
+// touches Trace.ByAddr and the Bank's map once per distinct address
+// instead of once per event.
 type addrSlot struct {
-	pc                 uint64
-	rec                *AddrRecord
-	hpc                *hpc.Counts
-	lastMem, lastFlush uint64
-	haveMem, haveFlush bool
+	pc  uint64
+	rec *AddrRecord
+	hpc *hpc.Counts
 }
 
 func (t *Trace) record(s *addrSlot, cycle uint64) *AddrRecord {
@@ -174,20 +171,12 @@ func (t *Trace) retire(s *addrSlot, cycle uint64) {
 }
 
 func (t *Trace) memLine(s *addrSlot, lineAddr uint64, cycle uint64) {
-	r := t.record(s, cycle)
-	if !s.haveMem || s.lastMem != lineAddr {
-		r.MemLines[lineAddr] = struct{}{}
-		s.lastMem, s.haveMem = lineAddr, true
-	}
+	t.record(s, cycle).MemLines[lineAddr] = struct{}{}
 	t.event(EvMem, cycle, s.pc, lineAddr, 0)
 }
 
 func (t *Trace) flushLine(s *addrSlot, lineAddr uint64, cycle uint64) {
-	r := t.record(s, cycle)
-	if !s.haveFlush || s.lastFlush != lineAddr {
-		r.FlushLines[lineAddr] = struct{}{}
-		s.lastFlush, s.haveFlush = lineAddr, true
-	}
+	t.record(s, cycle).FlushLines[lineAddr] = struct{}{}
 	t.event(EvFlush, cycle, s.pc, lineAddr, 0)
 }
 
@@ -247,22 +236,25 @@ func (t *Trace) Addrs() []uint64 {
 // they feed the baselines, not CST-BBS modeling.
 type TraceBuilder struct {
 	t     *Trace
-	slots map[uint64]*addrSlot
+	slot  map[uint64]int // pc -> index in slots
+	slots []addrSlot
 }
 
 // NewTraceBuilder returns an empty builder.
 func NewTraceBuilder() *TraceBuilder {
-	return &TraceBuilder{t: newTrace(0, 0, false, 0), slots: make(map[uint64]*addrSlot)}
+	return &TraceBuilder{t: newTrace(0, 0, false, 0), slot: make(map[uint64]int)}
 }
 
 // Apply replays one event. Events must be applied in log order (cycles
 // nondecreasing); Apply does not re-sort.
 func (b *TraceBuilder) Apply(ev Event) {
-	s := b.slots[ev.PC]
-	if s == nil {
-		s = &addrSlot{pc: ev.PC}
-		b.slots[ev.PC] = s
+	i, ok := b.slot[ev.PC]
+	if !ok {
+		i = len(b.slots)
+		b.slots = append(b.slots, addrSlot{pc: ev.PC})
+		b.slot[ev.PC] = i
 	}
+	s := &b.slots[i]
 	switch ev.Kind {
 	case EvRetire:
 		b.t.retire(s, ev.Cycle)

@@ -116,7 +116,7 @@ func (d *Decoded) Target(i int) int { return int(d.insns[i].target) }
 func (d *Decoded) Resolve(i int, addr uint64) int {
 	in := &d.insns[i]
 	switch {
-	case addr == in.Next():
+	case addr == in.Addr+uint64(in.Size): // in.Next(), without copying in
 		return int(in.next)
 	case in.target >= 0 && addr == uint64(in.Dst.Disp):
 		return int(in.target)

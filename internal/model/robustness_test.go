@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/attacks"
 	"repro/internal/benign"
+	"repro/internal/cache"
 	"repro/internal/exec"
 	"repro/internal/mutate"
 )
@@ -105,5 +106,13 @@ func TestBuildFromTraceErrors(t *testing.T) {
 	}
 	if _, err := BuildFromTrace(poc.Program, nil, DefaultMeasureCache(), DefaultConfig()); err == nil {
 		t.Error("nil trace must fail")
+	}
+	m, err := exec.NewMachine(exec.DefaultConfig(), poc.Program, poc.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badLLC := cache.Config{Name: "LLC", Sets: 3, Ways: 8, LineSize: 64}
+	if _, err := BuildFromTrace(poc.Program, m.Run(), badLLC, DefaultConfig()); err == nil {
+		t.Error("an LLC config with a non-power-of-two set count must fail, not panic")
 	}
 }
