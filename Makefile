@@ -22,7 +22,7 @@ test:
 # scatter–gather layer, the circuit breakers, the chaos harness, the
 # verdict result cache, the detection service front end, the online
 # sliding-window detector, and programs shared between concurrent
-# detections: the decoded-program test in internal/isa and the
+# detections: the code-index test in internal/isa and the
 # shared-program detection test in internal/detect).
 race:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/isa ./internal/detect ./internal/scan ./internal/stream ./internal/shard ./internal/breaker ./internal/chaos ./internal/vcache ./internal/serve ./internal/index ./internal/window

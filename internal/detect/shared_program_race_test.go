@@ -3,7 +3,7 @@ package detect
 // Race regression test: detections of one shared *isa.Program on
 // several goroutines. cfg.Build and exec.NewMachineMulti validate the
 // program once per target; validation must only read a program whose
-// decoded form is current. Run under `go test -race ./internal/detect`
+// code index is current. Run under `go test -race ./internal/detect`
 // (part of `make race`).
 
 import (

@@ -106,7 +106,8 @@ type flags struct {
 
 // proc is one running process.
 type proc struct {
-	code    *isa.Decoded
+	insns   []isa.Instruction
+	code    *isa.CodeIndex
 	regs    [isa.NumRegs]uint64
 	fl      flags
 	pc      uint64
@@ -181,16 +182,15 @@ func NewMachineMulti(cfg Config, monitored *isa.Program, others ...*isa.Program)
 				m.mem.WriteBytes(d.Addr, d.Init)
 			}
 		}
-		code := pr.Decoded()
+		code := pr.CodeIndex()
 		pos, _ := code.Index(pr.Entry)
-		p := &proc{code: code, pc: pr.Entry, pos: pos, owner: cache.Owner(i)}
+		p := &proc{insns: pr.Insns, code: code, pc: pr.Entry, pos: pos, owner: cache.Owner(i)}
 		p.regs[isa.R14] = uint64(stackTop - i*stackGap)
 		m.procs = append(m.procs, p)
 	}
-	code := m.procs[0].code
-	m.slots = make([]addrSlot, code.Len())
-	for i := range m.slots {
-		m.slots[i].pc = code.Insn(i).Addr
+	m.slots = make([]addrSlot, len(monitored.Insns))
+	for i, in := range monitored.Insns {
+		m.slots[i].pc = in.Addr
 	}
 	return m, nil
 }
@@ -438,6 +438,24 @@ func evalCond(op isa.Opcode, fl flags) bool {
 // value-receiver call makes on the hot path.
 func fallthroughPC(in *isa.Instruction) uint64 { return in.Addr + uint64(in.Size) }
 
+// resolve returns the position of addr, where control goes after the
+// instruction at position pos, or -1 when addr is not an instruction.
+// The fallthrough and the static branch target come pre-resolved from
+// the code index; only indirect jumps and returns look addr up.
+func (p *proc) resolve(pos int, addr uint64) int {
+	in := &p.insns[pos]
+	switch {
+	case addr == fallthroughPC(in):
+		return p.code.Next(pos)
+	case p.code.Target(pos) >= 0 && addr == uint64(in.Dst.Disp):
+		return p.code.Target(pos)
+	}
+	if i, ok := p.code.Index(addr); ok {
+		return i
+	}
+	return -1
+}
+
 // step retires one instruction of p. monitored marks the traced
 // process.
 func (m *Machine) step(p *proc, monitored bool) {
@@ -447,7 +465,7 @@ func (m *Machine) step(p *proc, monitored bool) {
 		p.halted = true
 		return
 	}
-	in := p.code.Insn(pos)
+	in := &p.insns[pos]
 	var s *addrSlot
 	if monitored {
 		s = &m.slots[pos]
@@ -597,7 +615,7 @@ func (m *Machine) step(p *proc, monitored bool) {
 	}
 
 	p.pc = nextPC
-	p.pos = p.code.Resolve(pos, nextPC)
+	p.pos = p.resolve(pos, nextPC)
 	p.retired++
 	if s != nil {
 		m.trace.retire(s, m.cycles)
@@ -615,7 +633,7 @@ func (m *Machine) speculate(p *proc, startPC uint64, monitored bool) {
 	fl := p.fl
 	pos, ok := p.code.Index(startPC)
 	for i := 0; i < m.cfg.SpecWindow && ok; i++ {
-		in := p.code.Insn(pos)
+		in := &p.insns[pos]
 		if in.Op.IsSerializing() {
 			return
 		}
@@ -671,7 +689,7 @@ func (m *Machine) speculate(p *proc, startPC uint64, monitored bool) {
 		if monitored {
 			m.trace.Transient++
 		}
-		pos = p.code.Resolve(pos, next)
+		pos = p.resolve(pos, next)
 		ok = pos >= 0
 	}
 }

@@ -44,24 +44,24 @@ type Program struct {
 	Data   []DataSegment
 	Labels map[string]uint64
 
-	decoded atomic.Pointer[Decoded]
+	index atomic.Pointer[CodeIndex]
 }
 
-// Decoded returns the pre-decoded form of the program, decoding it on
-// first use. Validate refreshes it when Insns changed since; callers
-// constructing Program values by hand should call Validate before use.
-func (p *Program) Decoded() *Decoded {
-	if d := p.decoded.Load(); d != nil {
-		return d
+// CodeIndex returns the program's code index, building it on first use.
+// Validate rebuilds it when Insns changed since; callers constructing
+// Program values by hand should call Validate before use.
+func (p *Program) CodeIndex() *CodeIndex {
+	if x := p.index.Load(); x != nil {
+		return x
 	}
-	d := decode(p.Insns)
-	p.decoded.Store(d)
-	return d
+	x := buildCodeIndex(p.Insns)
+	p.index.Store(x)
+	return x
 }
 
 // At returns the instruction at the exact address addr.
 func (p *Program) At(addr uint64) (Instruction, bool) {
-	i, ok := p.Decoded().Index(addr)
+	i, ok := p.CodeIndex().Index(addr)
 	if !ok {
 		return Instruction{}, false
 	}
@@ -70,7 +70,7 @@ func (p *Program) At(addr uint64) (Instruction, bool) {
 
 // IndexOf returns the position in Insns of the instruction at addr.
 func (p *Program) IndexOf(addr uint64) (int, bool) {
-	return p.Decoded().Index(addr)
+	return p.CodeIndex().Index(addr)
 }
 
 // Label resolves a symbolic label to its address.
@@ -137,12 +137,12 @@ func (p *Program) Validate() error {
 				p.Name, prev.Addr, cur.Addr)
 		}
 	}
-	d := p.decoded.Load()
-	if d == nil || !d.matches(p.Insns) {
-		d = decode(p.Insns)
-		p.decoded.Store(d)
+	x := p.index.Load()
+	if x == nil || !x.matches(p.Insns) {
+		x = buildCodeIndex(p.Insns)
+		p.index.Store(x)
 	}
-	if _, ok := d.Index(p.Entry); !ok {
+	if _, ok := x.Index(p.Entry); !ok {
 		return fmt.Errorf("program %q: entry 0x%x is not an instruction", p.Name, p.Entry)
 	}
 	for i, in := range p.Insns {
@@ -153,7 +153,7 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("program %q: zero-size instruction at 0x%x", p.Name, in.Addr)
 		}
 		if t, ok := in.BranchTarget(); ok {
-			if d.Target(i) < 0 {
+			if x.Target(i) < 0 {
 				return fmt.Errorf("program %q: %s at 0x%x targets 0x%x which is not an instruction",
 					p.Name, in.Op, in.Addr, t)
 			}
