@@ -93,7 +93,7 @@ type Stats struct {
 // LRU the tick of the last access, under FIFO the tick of the fill — and
 // doubles as the valid bit: ticks start at 1, so a stamp is 0 exactly
 // when its way is empty. owners records the process that last touched
-// the line. The tag and owner of an empty way are never read.
+// the line. An empty way's tag and owner never affect a result.
 type Cache struct {
 	cfg        Config
 	tags       []uint64
@@ -199,7 +199,11 @@ func (c *Cache) access(addr uint64, owner Owner) (hit bool, ev EvictedLine, evic
 	si := c.SetIndex(addr)
 	t := c.tag(addr)
 	if i := c.find(si, t); i >= 0 {
-		c.hit(i, owner)
+		if c.cfg.Policy != FIFO {
+			c.stamps[i] = c.tick
+		}
+		c.owners[i] = owner // the most recent toucher owns the line
+		c.stats.Hits++
 		return true, EvictedLine{}, false
 	}
 	c.stats.Misses++
@@ -213,15 +217,6 @@ func (c *Cache) access(addr uint64, owner Owner) (hit bool, ev EvictedLine, evic
 	}
 	c.tags[victim], c.stamps[victim], c.owners[victim] = t, c.tick, owner
 	return false, ev, evicted
-}
-
-// hit records an access that found its line in entry i.
-func (c *Cache) hit(i int, owner Owner) {
-	if c.cfg.Policy != FIFO {
-		c.stamps[i] = c.tick
-	}
-	c.owners[i] = owner // the most recent toucher owns the line
-	c.stats.Hits++
 }
 
 func (c *Cache) reconstructAddr(tag uint64, setIdx int) uint64 {
